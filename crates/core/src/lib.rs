@@ -68,7 +68,6 @@ pub mod billing;
 pub mod bursts;
 pub mod clock;
 pub mod design;
-pub mod divergent;
 pub mod error;
 pub mod grouping;
 pub mod master;
@@ -93,9 +92,6 @@ pub mod prelude {
     pub use crate::bursts::{Burst, BurstDetector, RecurringBurst};
     pub use crate::clock::{ClockSource, SimClock};
     pub use crate::design::{DeploymentPlan, TenantGroupPlan};
-    pub use crate::divergent::{
-        divergent_group_plan, size_divergent_tuning_mppdb, DivergentSizing, TemplateSizing,
-    };
     pub use crate::error::{ThriftyError, ThriftyResult};
     pub use crate::grouping::{
         exact_grouping, ffd_grouping, ffd_grouping_with, split_size_bucket, two_step_buckets,
@@ -117,8 +113,7 @@ pub mod prelude {
     };
     pub use crate::sla::{SlaPolicy, SlaRecord, SlaSummary};
     pub use crate::telemetry::{
-        InstanceUtilization, Registry, Telemetry, TelemetryConfig, TelemetryEvent,
-        TelemetrySnapshot,
+        InstanceUtilization, Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySnapshot,
     };
     pub use crate::tenant::{Tenant, TenantHistory, TenantId};
     pub use crate::tuning::recommend_tuning_nodes;

@@ -18,7 +18,7 @@ use crate::reconsolidation::CyclePlan;
 use crate::routing::{QueryRouter, Route, RouteKind};
 use crate::scaling::{identify_over_active, ScalingEvent};
 use crate::sla::{SlaPolicy, SlaRecord, SlaSummary};
-use crate::telemetry::{InstanceUtilization, Telemetry, TelemetryConfig, TelemetryEvent};
+use crate::telemetry::{Counter, InstanceUtilization, Telemetry, TelemetryConfig, TelemetryEvent};
 use crate::tenant::{Tenant, TenantHistory, TenantId};
 use mppdb_sim::cluster::{Cluster, ClusterConfig, QueryCompletion, SimEvent};
 use mppdb_sim::error::SimError;
@@ -250,6 +250,24 @@ impl ConfigDelta {
 }
 
 /// Renders one knob difference with `Debug` formatting on both sides.
+/// Records that `instance` began provisioning at log time `at_ms`.
+fn emit_provisioned(
+    telemetry: &mut Telemetry,
+    cluster: &Cluster,
+    at_ms: u64,
+    instance: InstanceId,
+) {
+    let nodes = cluster
+        .instance(instance)
+        .map(|i| i.nodes().len())
+        .unwrap_or(0);
+    telemetry.emit(TelemetryEvent::InstanceProvisioned {
+        at_ms,
+        instance,
+        nodes,
+    });
+}
+
 fn knob_change<T: std::fmt::Debug>(knob: &str, from: &T, to: &T) -> KnobChange {
     KnobChange {
         knob: knob.to_string(),
@@ -477,67 +495,11 @@ impl ThriftyService {
         }
         let next_trace_ms = offset_ms;
         let mut telemetry = Telemetry::new(config.telemetry);
-        if telemetry.is_enabled() {
-            // Pre-register the counter taxonomy at zero so every snapshot
-            // carries the full set of names, touched or not.
-            for name in [
-                "queries.submitted",
-                "queries.completed",
-                "queries.cancelled",
-                "queries.migrated",
-                "route.sticky",
-                "route.tuning_free",
-                "route.other_free",
-                "route.overflow",
-                "sla.met",
-                "sla.violated",
-                "scaling.triggered",
-                "scaling.activated",
-                "tenants.migrated",
-                "nodes.failed",
-                "nodes.replaced",
-                "nodes.replacement_deferred",
-                "nodes.replacement_retried",
-                "instances.provisioned",
-                "instances.decommissioned",
-                "tenants.registered",
-                "tenants.deregistered",
-                "bulk_loads.started",
-                "bulk_loads.finished",
-                "reconsolidation.started",
-                "reconsolidation.completed",
-                "reconsolidation.tenants_moved",
-                "groups.cutover",
-                "controller.skipped_busy",
-                "controller.skipped_noop",
-                "controller.skipped_nodes",
-                "controller.skipped_deferred",
-                "controller.adapt_shrink",
-                "controller.adapt_grow",
-                "controller.moves_deferred",
-                "controller.builds_capped",
-                "config.reloads",
-                "config.knobs_applied",
-                "config.knobs_rejected",
-            ] {
-                telemetry.incr_by(name, 0);
+        // The initial deployment counts as provisioning at log time 0.
+        for group in &groups {
+            for &instance in &group.instances {
+                emit_provisioned(&mut telemetry, &cluster, 0, instance);
             }
-            // The initial deployment counts as provisioning at log time 0.
-            for group in &groups {
-                for &instance in &group.instances {
-                    let nodes = cluster
-                        .instance(instance)
-                        .map(|i| i.nodes().len())
-                        .unwrap_or(0);
-                    telemetry.incr("instances.provisioned");
-                    telemetry.record(TelemetryEvent::InstanceProvisioned {
-                        at_ms: 0,
-                        instance,
-                        nodes,
-                    });
-                }
-            }
-            telemetry.set_gauge("groups", groups.len() as i64);
         }
         Ok(ThriftyService {
             cluster,
@@ -929,26 +891,18 @@ impl ThriftyService {
         self.config.scaling_epoch_ms = candidate.scaling_epoch_ms;
         self.config.scaling_check_interval_ms = candidate.scaling_check_interval_ms;
 
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(self.cluster.now().as_ms());
-            self.telemetry.incr("config.reloads");
-            self.telemetry
-                .incr_by("config.knobs_applied", delta.applied.len() as u64);
-            self.telemetry
-                .incr_by("config.knobs_rejected", delta.rejected.len() as u64);
-            self.telemetry.record(TelemetryEvent::ConfigReloaded {
-                at_ms,
-                applied: delta.applied.len(),
-                rejected: delta.rejected.len(),
-            });
-        }
+        self.telemetry.emit(TelemetryEvent::ConfigReloaded {
+            at_ms: self.log_ms(self.cluster.now().as_ms()),
+            applied: delta.applied.len(),
+            rejected: delta.rejected.len(),
+        });
         Ok(delta)
     }
 
     /// A snapshot of the telemetry recorded so far, with per-instance
     /// utilization filled in from the live cluster.
     pub fn telemetry_snapshot(&self) -> crate::telemetry::TelemetrySnapshot {
-        let mut snap = self.telemetry.snapshot();
+        let mut snap = self.telemetry.snapshot(self.groups.len());
         if snap.enabled {
             self.fill_instance_utilization(&mut snap);
         }
@@ -979,7 +933,7 @@ impl ThriftyService {
             std::mem::take(&mut self.scaling_events)
         };
         let ttp_trace = std::mem::take(&mut self.ttp_trace);
-        let mut telemetry = self.telemetry.take_snapshot();
+        let mut telemetry = self.telemetry.take_snapshot(self.groups.len());
         if telemetry.enabled {
             self.fill_instance_utilization(&mut telemetry);
         }
@@ -1011,15 +965,6 @@ impl ThriftyService {
         abs_ms.saturating_sub(self.offset_ms)
     }
 
-    fn route_counter(kind: RouteKind) -> &'static str {
-        match kind {
-            RouteKind::Sticky => "route.sticky",
-            RouteKind::TuningFree => "route.tuning_free",
-            RouteKind::OtherFree => "route.other_free",
-            RouteKind::Overflow => "route.overflow",
-        }
-    }
-
     fn advance_to(&mut self, t: SimTime) -> ThriftyResult<()> {
         self.sample_traces_until(t.as_ms());
         let events = self.cluster.run_until(t);
@@ -1033,50 +978,34 @@ impl ThriftyService {
                 SimEvent::NodeFailed { node, instance, at } => {
                     // The MPPDB stays online at reduced parallelism
                     // (Chapter 4.4); record the event for the operators.
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.failed");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::NodeFailed {
-                            at_ms,
-                            node,
-                            instance,
-                        });
-                    }
+                    self.telemetry.emit(TelemetryEvent::NodeFailed {
+                        at_ms: self.log_ms(at.as_ms()),
+                        node,
+                        instance,
+                    });
                 }
                 SimEvent::NodeReplaced { instance, node, at } => {
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.replaced");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::NodeReplaced {
-                            at_ms,
-                            instance,
-                            node,
-                        });
-                    }
+                    self.telemetry.emit(TelemetryEvent::NodeReplaced {
+                        at_ms: self.log_ms(at.as_ms()),
+                        instance,
+                        node,
+                    });
                 }
                 SimEvent::ReplacementDeferred { instance, node, at } => {
                     // No spare was available; the instance runs degraded
                     // until the pool refills and the retry fires.
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.replacement_deferred");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::ReplacementDeferred {
-                            at_ms,
-                            instance,
-                            node,
-                        });
-                    }
+                    self.telemetry.emit(TelemetryEvent::ReplacementDeferred {
+                        at_ms: self.log_ms(at.as_ms()),
+                        instance,
+                        node,
+                    });
                 }
                 SimEvent::ReplacementRetried { instance, node, at } => {
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.replacement_retried");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::ReplacementRetried {
-                            at_ms,
-                            instance,
-                            node,
-                        });
-                    }
+                    self.telemetry.emit(TelemetryEvent::ReplacementRetried {
+                        at_ms: self.log_ms(at.as_ms()),
+                        instance,
+                        node,
+                    });
                 }
                 SimEvent::TenantLoaded {
                     instance,
@@ -1142,25 +1071,21 @@ impl ThriftyService {
         group.monitor.on_query_start(q.tenant, at.as_ms());
         self.meter.on_query_start(q.tenant, at.as_ms());
         let monitor_generation = group.monitor_generation;
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(at.as_ms());
-            self.telemetry.incr("queries.submitted");
-            self.telemetry.incr(Self::route_counter(route.kind));
-            self.telemetry.record(TelemetryEvent::QuerySubmitted {
-                at_ms,
-                query: qid,
-                tenant: q.tenant,
-                group: gi,
-            });
-            self.telemetry.record(TelemetryEvent::QueryRouted {
-                at_ms,
-                query: qid,
-                tenant: q.tenant,
-                group: gi,
-                mppdb: route.mppdb,
-                kind: route.kind,
-            });
-        }
+        let at_ms = self.log_ms(at.as_ms());
+        self.telemetry.emit(TelemetryEvent::QuerySubmitted {
+            at_ms,
+            query: qid,
+            tenant: q.tenant,
+            group: gi,
+        });
+        self.telemetry.emit(TelemetryEvent::QueryRouted {
+            at_ms,
+            query: qid,
+            tenant: q.tenant,
+            group: gi,
+            mppdb: route.mppdb,
+            kind: route.kind,
+        });
         self.inflight.insert(
             qid,
             Inflight {
@@ -1204,28 +1129,19 @@ impl ThriftyService {
             info.route,
             &self.config.sla_policy,
         );
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("queries.completed");
-            self.telemetry.incr(if record.met {
-                "sla.met"
-            } else {
-                "sla.violated"
-            });
-            self.telemetry.observe("query.latency_ms", achieved.as_ms());
-            // Normalized performance vs the dedicated baseline, in percent
-            // (100 = exactly the dedicated latency).
-            self.telemetry
-                .observe("query.slowdown_pct", (record.normalized * 100.0) as u64);
-            self.telemetry.record(TelemetryEvent::QueryCompleted {
-                at_ms,
+        // Slowdown is the normalized performance vs the dedicated
+        // baseline, in percent (100 = exactly the dedicated latency).
+        self.telemetry.emit_completion(
+            TelemetryEvent::QueryCompleted {
+                at_ms: self.log_ms(now_ms),
                 query: c.query,
                 tenant: info.tenant,
                 group: info.group,
                 latency_ms: achieved.as_ms(),
                 met: record.met,
-            });
-        }
+            },
+            (record.normalized * 100.0) as u64,
+        );
         self.records.push(record);
         self.maybe_scale(info.group, now_ms)
     }
@@ -1291,26 +1207,13 @@ impl ThriftyService {
             // surface it instead of panicking.
             Err(e) => return Err(ThriftyError::Sim(e)),
         };
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            let nodes = self
-                .cluster
-                .instance(instance)
-                .map(|i| i.nodes().len())
-                .unwrap_or(0);
-            self.telemetry.incr("scaling.triggered");
-            self.telemetry.incr("instances.provisioned");
-            self.telemetry.record(TelemetryEvent::ScalingTriggered {
-                at_ms,
-                group: gi,
-                tenants: over_active.len(),
-            });
-            self.telemetry.record(TelemetryEvent::InstanceProvisioned {
-                at_ms,
-                instance,
-                nodes,
-            });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.emit(TelemetryEvent::ScalingTriggered {
+            at_ms,
+            group: gi,
+            tenants: over_active.len(),
+        });
+        emit_provisioned(&mut self.telemetry, &self.cluster, at_ms, instance);
         let event_idx = self.scaling_events.len();
         self.scaling_events.push(ScalingEvent {
             group: gi,
@@ -1382,26 +1285,19 @@ impl ThriftyService {
         for t in &moved {
             self.tenant_group.insert(t.id, new_gi);
         }
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("scaling.activated");
-            self.telemetry
-                .incr_by("tenants.migrated", moved.len() as u64);
-            self.telemetry.record(TelemetryEvent::ScalingActivated {
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.emit(TelemetryEvent::ScalingActivated {
+            at_ms,
+            group: gi,
+            new_group: new_gi,
+        });
+        for t in &moved {
+            self.telemetry.emit(TelemetryEvent::TenantMigrated {
                 at_ms,
-                group: gi,
-                new_group: new_gi,
+                tenant: t.id,
+                from_group: gi,
+                to_group: new_gi,
             });
-            for t in &moved {
-                self.telemetry.record(TelemetryEvent::TenantMigrated {
-                    at_ms,
-                    tenant: t.id,
-                    from_group: gi,
-                    to_group: new_gi,
-                });
-            }
-            self.telemetry
-                .set_gauge("groups", (self.groups.len() + 1) as i64);
         }
         self.groups.push(GroupRuntime {
             members: moved,
@@ -1457,33 +1353,26 @@ impl ThriftyService {
             self.groups[new_gi]
                 .monitor
                 .on_query_start(info.tenant, now_ms);
-            if self.telemetry.is_enabled() {
-                let at_ms = self.log_ms(now_ms);
-                self.telemetry.incr("queries.cancelled");
-                self.telemetry.incr("queries.submitted");
-                self.telemetry.incr("queries.migrated");
-                self.telemetry.incr(Self::route_counter(route.kind));
-                self.telemetry.record(TelemetryEvent::QueryCancelled {
-                    at_ms,
-                    query: qid,
-                    tenant: info.tenant,
-                    group: gi,
-                });
-                self.telemetry.record(TelemetryEvent::QuerySubmitted {
-                    at_ms,
-                    query: new_qid,
-                    tenant: info.tenant,
-                    group: new_gi,
-                });
-                self.telemetry.record(TelemetryEvent::QueryRouted {
-                    at_ms,
-                    query: new_qid,
-                    tenant: info.tenant,
-                    group: new_gi,
-                    mppdb: route.mppdb,
-                    kind: route.kind,
-                });
-            }
+            self.telemetry.emit(TelemetryEvent::QueryCancelled {
+                at_ms,
+                query: qid,
+                tenant: info.tenant,
+                group: gi,
+            });
+            self.telemetry.emit(TelemetryEvent::QuerySubmitted {
+                at_ms,
+                query: new_qid,
+                tenant: info.tenant,
+                group: new_gi,
+            });
+            self.telemetry.emit(TelemetryEvent::QueryRouted {
+                at_ms,
+                query: new_qid,
+                tenant: info.tenant,
+                group: new_gi,
+                mppdb: route.mppdb,
+                kind: route.kind,
+            });
             self.inflight.insert(
                 new_qid,
                 Inflight {
@@ -1528,14 +1417,10 @@ impl ThriftyService {
             return Err(ThriftyError::DuplicateTenant(tenant.id));
         }
         let now_ms = self.cluster.now().as_ms();
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("tenants.registered");
-            self.telemetry.record(TelemetryEvent::TenantRegistered {
-                at_ms,
-                tenant: tenant.id,
-            });
-        }
+        self.telemetry.emit(TelemetryEvent::TenantRegistered {
+            at_ms: self.log_ms(now_ms),
+            tenant: tenant.id,
+        });
         match self.park_group() {
             Some(park) => self.park_tenant(tenant, park, now_ms),
             // Mid-cycle every candidate may be marked for retirement; hold
@@ -1571,15 +1456,11 @@ impl ThriftyService {
     /// Starts the bulk load that parks `tenant` on `park`'s tuning MPPDB.
     fn park_tenant(&mut self, tenant: Tenant, park: usize, now_ms: u64) -> ThriftyResult<()> {
         let instance = self.groups[park].instances[0];
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("bulk_loads.started");
-            self.telemetry.record(TelemetryEvent::BulkLoadStarted {
-                at_ms,
-                instance,
-                tenant: tenant.id,
-            });
-        }
+        self.telemetry.emit(TelemetryEvent::BulkLoadStarted {
+            at_ms: self.log_ms(now_ms),
+            instance,
+            tenant: tenant.id,
+        });
         self.cluster
             .load_tenant(instance, tenant.id, tenant.data_gb)?;
         let instantly_hosted = self
@@ -1616,15 +1497,11 @@ impl ThriftyService {
     /// Completes a registration: the tenant's data reached the park
     /// group's tuning MPPDB and the tenant becomes routable (parked).
     fn finish_park(&mut self, instance: InstanceId, tenant: Tenant, park: usize, now_ms: u64) {
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("bulk_loads.finished");
-            self.telemetry.record(TelemetryEvent::BulkLoadFinished {
-                at_ms,
-                instance,
-                tenant: tenant.id,
-            });
-        }
+        self.telemetry.emit(TelemetryEvent::BulkLoadFinished {
+            at_ms: self.log_ms(now_ms),
+            instance,
+            tenant: tenant.id,
+        });
         self.tenant_info.insert(tenant.id, tenant);
         self.tenant_group.insert(tenant.id, park);
         self.groups[park].members.push(tenant);
@@ -1693,12 +1570,10 @@ impl ThriftyService {
     }
 
     fn record_deregistration(&mut self, tenant: TenantId, now_ms: u64) {
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("tenants.deregistered");
-            self.telemetry
-                .record(TelemetryEvent::TenantDeregistered { at_ms, tenant });
-        }
+        self.telemetry.emit(TelemetryEvent::TenantDeregistered {
+            at_ms: self.log_ms(now_ms),
+            tenant,
+        });
     }
 
     /// Removes a departing tenant from an in-progress cycle: its planned
@@ -1792,17 +1667,13 @@ impl ThriftyService {
         }
         let now_ms = self.cluster.now().as_ms();
         let cycle_no = self.cycles_completed + 1;
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("reconsolidation.started");
-            self.telemetry
-                .record(TelemetryEvent::ReconsolidationStarted {
-                    at_ms,
-                    cycle: cycle_no,
-                    builds: plan.builds.len(),
-                    retiring: plan.retire.len(),
-                });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.emit(TelemetryEvent::ReconsolidationStarted {
+            at_ms,
+            cycle: cycle_no,
+            builds: plan.builds.len(),
+            retiring: plan.retire.len(),
+        });
         let mut cycle = ActiveCycle {
             cycle: cycle_no,
             builds: Vec::with_capacity(plan.builds.len()),
@@ -1820,20 +1691,7 @@ impl ThriftyService {
                     .cluster
                     .provision_instance(planned.node_size as usize, &[])?;
                 cycle.instance_build.insert(instance, bi);
-                if self.telemetry.is_enabled() {
-                    let at_ms = self.log_ms(now_ms);
-                    let nodes = self
-                        .cluster
-                        .instance(instance)
-                        .map(|i| i.nodes().len())
-                        .unwrap_or(0);
-                    self.telemetry.incr("instances.provisioned");
-                    self.telemetry.record(TelemetryEvent::InstanceProvisioned {
-                        at_ms,
-                        instance,
-                        nodes,
-                    });
-                }
+                emit_provisioned(&mut self.telemetry, &self.cluster, at_ms, instance);
                 // Instant provisioning (tests) readies the instance
                 // synchronously and fires no event — handle it inline.
                 let ready_now = self
@@ -1956,15 +1814,11 @@ impl ThriftyService {
             cycle.builds[bi].members.clone()
         };
         for m in members {
-            if self.telemetry.is_enabled() {
-                let at_ms = self.log_ms(now_ms);
-                self.telemetry.incr("bulk_loads.started");
-                self.telemetry.record(TelemetryEvent::BulkLoadStarted {
-                    at_ms,
-                    instance,
-                    tenant: m.id,
-                });
-            }
+            self.telemetry.emit(TelemetryEvent::BulkLoadStarted {
+                at_ms: self.log_ms(now_ms),
+                instance,
+                tenant: m.id,
+            });
             self.cluster.load_tenant(instance, m.id, m.data_gb)?;
             let instantly_hosted = self
                 .cluster
@@ -1972,15 +1826,11 @@ impl ThriftyService {
                 .map(|i| i.hosts(m.id))
                 .unwrap_or(false);
             if instantly_hosted {
-                if self.telemetry.is_enabled() {
-                    let at_ms = self.log_ms(now_ms);
-                    self.telemetry.incr("bulk_loads.finished");
-                    self.telemetry.record(TelemetryEvent::BulkLoadFinished {
-                        at_ms,
-                        instance,
-                        tenant: m.id,
-                    });
-                }
+                self.telemetry.emit(TelemetryEvent::BulkLoadFinished {
+                    at_ms: self.log_ms(now_ms),
+                    instance,
+                    tenant: m.id,
+                });
             } else if let Some(cycle) = self.recon.as_mut() {
                 cycle.loads.insert((instance, m.id), bi);
                 cycle.builds[bi].loads_pending += 1;
@@ -2011,15 +1861,11 @@ impl ThriftyService {
             if let Some(cycle) = self.recon.as_mut() {
                 cycle.builds[bi].loads_pending = cycle.builds[bi].loads_pending.saturating_sub(1);
             }
-            if self.telemetry.is_enabled() {
-                let at_ms = self.log_ms(now_ms);
-                self.telemetry.incr("bulk_loads.finished");
-                self.telemetry.record(TelemetryEvent::BulkLoadFinished {
-                    at_ms,
-                    instance,
-                    tenant,
-                });
-            }
+            self.telemetry.emit(TelemetryEvent::BulkLoadFinished {
+                at_ms: self.log_ms(now_ms),
+                instance,
+                tenant,
+            });
             return self.check_cycle_progress(now_ms);
         }
         // Orphaned load (the registration or planned membership was
@@ -2089,20 +1935,12 @@ impl ThriftyService {
             self.parked.remove(&m.id);
         }
         let replicas = instances.len();
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("groups.cutover");
-            self.telemetry
-                .incr_by("reconsolidation.tenants_moved", members.len() as u64);
-            self.telemetry.record(TelemetryEvent::GroupCutover {
-                at_ms,
-                group: new_gi,
-                tenants: members.len(),
-                replicas,
-            });
-            self.telemetry
-                .set_gauge("groups", (self.groups.len() + 1) as i64);
-        }
+        self.telemetry.emit(TelemetryEvent::GroupCutover {
+            at_ms: self.log_ms(now_ms),
+            group: new_gi,
+            tenants: members.len(),
+            replicas,
+        });
         self.groups.push(GroupRuntime {
             members,
             instances,
@@ -2152,21 +1990,17 @@ impl ThriftyService {
             retired_groups += 1;
         }
         self.cycles_completed = cycle.cycle;
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("reconsolidation.completed");
-            self.telemetry
-                .record(TelemetryEvent::ReconsolidationCompleted {
-                    at_ms,
-                    cycle: cycle.cycle,
-                    groups_built: self
-                        .groups
-                        .iter()
-                        .filter(|g| !g.retired && g.parent.is_none())
-                        .count(),
-                    groups_retired: retired_groups,
-                });
-        }
+        self.telemetry
+            .emit(TelemetryEvent::ReconsolidationCompleted {
+                at_ms: self.log_ms(now_ms),
+                cycle: cycle.cycle,
+                groups_built: self
+                    .groups
+                    .iter()
+                    .filter(|g| !g.retired && g.parent.is_none())
+                    .count(),
+                groups_retired: retired_groups,
+            });
         self.flush_deferred_regs(now_ms)?;
         self.sweep_retiring()
     }
@@ -2189,15 +2023,10 @@ impl ThriftyService {
             let instances = std::mem::take(&mut self.groups[gi].instances);
             for inst in instances {
                 self.cluster.decommission(inst)?;
-                if self.telemetry.is_enabled() {
-                    let at_ms = self.log_ms(now_ms);
-                    self.telemetry.incr("instances.decommissioned");
-                    self.telemetry
-                        .record(TelemetryEvent::InstanceDecommissioned {
-                            at_ms,
-                            instance: inst,
-                        });
-                }
+                self.telemetry.emit(TelemetryEvent::InstanceDecommissioned {
+                    at_ms: self.log_ms(now_ms),
+                    instance: inst,
+                });
             }
         }
         self.retiring = still;
@@ -2276,23 +2105,18 @@ impl ThriftyService {
     /// Bumps a controller-decision counter (crate-internal: the
     /// [`Reconsolidator`](crate::reconsolidation::Reconsolidator) has no
     /// telemetry of its own, so its decisions land in the service's).
-    pub(crate) fn note_controller(&mut self, counter: &'static str, by: u64) {
-        if self.telemetry.is_enabled() && by > 0 {
-            self.telemetry.incr_by(counter, by);
-        }
+    pub(crate) fn note_controller(&mut self, counter: Counter, by: u64) {
+        self.telemetry.bump(counter, by);
     }
 
     /// Records a controller cadence adaptation (crate-internal).
     pub(crate) fn note_controller_adapted(&mut self, interval_ms: u64, window_ms: u64, error: f64) {
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_now().as_ms();
-            self.telemetry.record(TelemetryEvent::ControllerAdapted {
-                at_ms,
-                interval_ms,
-                window_ms,
-                error_ppm: (error.clamp(0.0, 1.0) * 1_000_000.0) as u64,
-            });
-        }
+        self.telemetry.emit(TelemetryEvent::ControllerAdapted {
+            at_ms: self.log_now().as_ms(),
+            interval_ms,
+            window_ms,
+            error_ppm: (error.clamp(0.0, 1.0) * 1_000_000.0) as u64,
+        });
     }
 
     /// Whether a re-consolidation cycle is currently executing.
@@ -2508,9 +2332,9 @@ mod tests {
         let second = s.replay([q(1, 1_000, 60_000)]).unwrap();
         assert_eq!(second.records.len(), 1, "first segment was drained");
         assert_eq!(
-            second.telemetry.counter("queries.submitted"),
+            second.telemetry.counter(Counter::QueriesSubmitted.name()),
             2,
-            "registry counters stay cumulative across segments"
+            "counters stay cumulative across segments"
         );
         let mut s2 = service(2, false);
         s2.submit(q(0, 0, 60_000)).unwrap();
@@ -2526,17 +2350,19 @@ mod tests {
             .replay([q(0, 0, 60_000), q(1, 0, 60_000), q(0, 200, 60_000)])
             .unwrap();
         let t = &report.telemetry;
+        let count = |c: Counter| t.counter(c.name());
         assert!(t.enabled);
-        assert_eq!(t.counter("queries.submitted"), 3);
-        assert_eq!(t.counter("queries.completed"), 3);
-        assert_eq!(t.counter("queries.cancelled"), 0);
+        assert_eq!(count(Counter::QueriesSubmitted), 3);
+        assert_eq!(count(Counter::QueriesCompleted), 3);
+        assert_eq!(count(Counter::QueriesCancelled), 0);
         assert_eq!(
-            t.counter("sla.met") + t.counter("sla.violated"),
+            count(Counter::SlaMet) + count(Counter::SlaViolated),
             report.summary.total as u64
         );
-        assert_eq!(t.counter("instances.provisioned"), 2);
+        assert_eq!(count(Counter::InstancesProvisioned), 2);
         assert!(!t.instances.is_empty());
-        assert_eq!(t.histograms["query.latency_ms"].count, 3);
+        assert_eq!(t.histograms.len(), 2);
+        assert!(t.histograms.values().all(|h| h.count == 3));
     }
 
     #[test]

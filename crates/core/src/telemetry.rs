@@ -1,16 +1,19 @@
-//! Deterministic service telemetry: named metrics plus a structured event
-//! stream.
+//! Deterministic service telemetry: counters derived from a structured
+//! event stream.
 //!
 //! The service loop (and the simulated cluster underneath it) is a black
 //! box without this module: the only outputs are the final SLA records.
 //! Telemetry opens the hot paths — query routing, completions, elastic
-//! scaling, node failures — as:
-//!
-//! * a [`Registry`] of named **counters**, **gauges**, and log-scale
-//!   **histograms** (power-of-two buckets, so recording is two integer
-//!   additions and a branch), and
-//! * a bounded stream of [`TelemetryEvent`]s, each stamped with its
-//!   **log-timeline** instant in milliseconds.
+//! scaling, node failures, re-consolidation — as a bounded stream of
+//! [`TelemetryEvent`]s, each stamped with its **log-timeline** instant in
+//! milliseconds. [`Telemetry::emit`] is the single recording call: it
+//! folds the event into a fixed array of **counters** (the event→counter
+//! table is the one `match` in `Telemetry::count`) and then appends it to
+//! the stream. Completions, recorded through
+//! [`Telemetry::emit_completion`], also feed two log-scale **histograms**
+//! (power-of-two buckets, so recording is two integer additions and a
+//! branch), and the only **gauge**, `groups`, is read from the service at
+//! snapshot time.
 //!
 //! ## Determinism contract
 //!
@@ -22,10 +25,11 @@
 //!
 //! ## Overhead contract
 //!
-//! With [`TelemetryConfig::disabled`] every recording call is a single
-//! branch on [`Telemetry::is_enabled`]; no allocation, no map lookup, no
-//! event push. The `sim_engine` bench exercises the cluster without any
-//! core-side telemetry at all.
+//! Under [`TelemetryConfig::disabled`], [`Telemetry::emit`] is one branch
+//! on [`TelemetryConfig::enabled`]: no allocation, no counter update, no
+//! event push. Enabled, an event costs one `match` and an array
+//! increment per implied counter; no map lookup. The `sim_engine` bench
+//! exercises the cluster without any core-side telemetry at all.
 
 use crate::routing::RouteKind;
 use crate::tenant::TenantId;
@@ -38,21 +42,19 @@ use std::collections::BTreeMap;
 
 /// Telemetry recording policy.
 ///
-/// Construct via [`TelemetryConfig::default`] (everything on),
-/// [`TelemetryConfig::counters_only`], or [`TelemetryConfig::disabled`];
-/// the struct is `#[non_exhaustive]` so new knobs can land without
-/// breaking callers.
+/// Construct via [`TelemetryConfig::default`] (everything on) or
+/// [`TelemetryConfig::disabled`]; `with_event_capacity(0)` keeps the
+/// counters and histograms but no events. The struct is
+/// `#[non_exhaustive]` so new knobs can land without breaking callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct TelemetryConfig {
     /// Master switch. Off = every recording call is a no-op.
     pub enabled: bool,
-    /// Whether individual [`TelemetryEvent`]s are kept (counters and
-    /// histograms are always maintained while `enabled`).
-    pub record_events: bool,
     /// Maximum number of retained events; once reached, further events
     /// are counted in [`TelemetrySnapshot::dropped_events`] instead of
-    /// stored. Bounds memory on multi-day replays.
+    /// stored (their counters are still bumped). Bounds memory on
+    /// multi-day replays.
     pub event_capacity: usize,
 }
 
@@ -60,27 +62,16 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             enabled: true,
-            record_events: true,
             event_capacity: 1 << 20,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// Counters, gauges, and histograms only — no per-event records.
-    pub fn counters_only() -> Self {
-        TelemetryConfig {
-            record_events: false,
-            event_capacity: 0,
-            ..TelemetryConfig::default()
-        }
-    }
-
     /// Telemetry fully off: every recording call reduces to one branch.
     pub fn disabled() -> Self {
         TelemetryConfig {
             enabled: false,
-            record_events: false,
             event_capacity: 0,
         }
     }
@@ -164,7 +155,9 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let upper = if i == 0 { 0 } else { (1u64 << i) - 1 };
+                // Bucket i's inclusive upper edge is 2^i - 1; bucket 64
+                // (values ≥ 2^63) tops out at u64::MAX.
+                let upper = if i == 0 { 0 } else { u64::MAX >> (64 - i) };
                 return upper.min(self.max).max(self.min);
             }
         }
@@ -208,77 +201,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
     /// Raw power-of-two bucket counts (see [`Histogram`]).
     pub buckets: Vec<u64>,
-}
-
-/// A registry of named metrics. Names are `.`-separated lowercase paths
-/// (e.g. `"queries.submitted"`, `"route.overflow"`); the `BTreeMap`
-/// backing keeps iteration — and therefore serialization — in
-/// deterministic name order.
-#[derive(Clone, Debug, Default)]
-pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Increments a counter by 1.
-    pub fn incr(&mut self, name: &str) {
-        self.incr_by(name, 1);
-    }
-
-    /// Increments a counter by `n`. Allocates only on the first use of a
-    /// name.
-    pub fn incr_by(&mut self, name: &str, n: u64) {
-        match self.counters.get_mut(name) {
-            Some(c) => *c += n,
-            None => {
-                self.counters.insert(name.to_string(), n);
-            }
-        }
-    }
-
-    /// Sets a gauge to an absolute value.
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g = value,
-            None => {
-                self.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Records an observation into a named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                self.histograms.insert(name.to_string(), h);
-            }
-        }
-    }
-
-    /// Current value of a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// A named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
 }
 
 /// One structured event on the service's **log timeline** (`at_ms` is
@@ -620,9 +542,10 @@ impl InstanceUtilization {
 }
 
 /// Serializable freeze of everything the telemetry subsystem recorded:
-/// the registry contents, the per-instance utilization, and the retained
-/// event stream. This is what [`crate::service::ServiceReport`] carries
-/// and what lands in `BENCH_<id>.json`.
+/// the counters, the gauge and histograms, the per-instance utilization,
+/// and the retained event stream. This is what
+/// [`crate::service::ServiceReport`] carries and what lands in
+/// `BENCH_<id>.json`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Whether telemetry was enabled (all collections are empty if not).
@@ -669,13 +592,80 @@ impl TelemetrySnapshot {
     }
 }
 
-/// The live recorder owned by the service loop. All mutating calls are
+/// Declares the counter ids and their names side by side, so each name
+/// exists exactly once.
+macro_rules! counters {
+    ($($id:ident => $name:literal,)*) => {
+        /// A counter id: an index into the recorder's counter array. The
+        /// name is used only to build the snapshot.
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum Counter {
+            $($id,)*
+        }
+
+        /// Counter names, indexed by [`Counter`].
+        const COUNTER_NAMES: &[&str] = &[$($name,)*];
+    };
+}
+
+counters! {
+    QueriesSubmitted => "queries.submitted",
+    QueriesCompleted => "queries.completed",
+    QueriesCancelled => "queries.cancelled",
+    QueriesMigrated => "queries.migrated",
+    RouteSticky => "route.sticky",
+    RouteTuningFree => "route.tuning_free",
+    RouteOtherFree => "route.other_free",
+    RouteOverflow => "route.overflow",
+    SlaMet => "sla.met",
+    SlaViolated => "sla.violated",
+    ScalingTriggered => "scaling.triggered",
+    ScalingActivated => "scaling.activated",
+    TenantsMigrated => "tenants.migrated",
+    NodesFailed => "nodes.failed",
+    NodesReplaced => "nodes.replaced",
+    NodesReplacementDeferred => "nodes.replacement_deferred",
+    NodesReplacementRetried => "nodes.replacement_retried",
+    InstancesProvisioned => "instances.provisioned",
+    InstancesDecommissioned => "instances.decommissioned",
+    TenantsRegistered => "tenants.registered",
+    TenantsDeregistered => "tenants.deregistered",
+    BulkLoadsStarted => "bulk_loads.started",
+    BulkLoadsFinished => "bulk_loads.finished",
+    ReconsolidationStarted => "reconsolidation.started",
+    ReconsolidationCompleted => "reconsolidation.completed",
+    ReconsolidationTenantsMoved => "reconsolidation.tenants_moved",
+    GroupsCutover => "groups.cutover",
+    ControllerSkippedBusy => "controller.skipped_busy",
+    ControllerSkippedNoop => "controller.skipped_noop",
+    ControllerSkippedNodes => "controller.skipped_nodes",
+    ControllerSkippedDeferred => "controller.skipped_deferred",
+    ControllerAdaptShrink => "controller.adapt_shrink",
+    ControllerAdaptGrow => "controller.adapt_grow",
+    ControllerMovesDeferred => "controller.moves_deferred",
+    ControllerBuildsCapped => "controller.builds_capped",
+    ConfigReloads => "config.reloads",
+    ConfigKnobsApplied => "config.knobs_applied",
+    ConfigKnobsRejected => "config.knobs_rejected",
+}
+
+impl Counter {
+    /// The counter's snapshot name.
+    #[cfg(test)]
+    pub(crate) fn name(self) -> &'static str {
+        COUNTER_NAMES[self as usize]
+    }
+}
+
+/// The live recorder owned by the service loop. Recording calls are
 /// gated on [`TelemetryConfig::enabled`]; when disabled they reduce to a
 /// single branch.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
-    registry: Registry,
+    counters: [u64; COUNTER_NAMES.len()],
+    latency_ms: Histogram,
+    slowdown_pct: Histogram,
     events: Vec<TelemetryEvent>,
     dropped_events: u64,
 }
@@ -685,17 +675,12 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             config,
-            registry: Registry::new(),
+            counters: [0; COUNTER_NAMES.len()],
+            latency_ms: Histogram::default(),
+            slowdown_pct: Histogram::default(),
             events: Vec::new(),
             dropped_events: 0,
         }
-    }
-
-    /// Whether recording is on. Callers computing non-trivial values to
-    /// record should branch on this first.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.config.enabled
     }
 
     /// The active policy.
@@ -703,45 +688,15 @@ impl Telemetry {
         &self.config
     }
 
-    /// Increments a counter (no-op when disabled).
+    /// Records one event: bumps the counters it implies, then appends it
+    /// to the stream (counted as dropped once the capacity is reached —
+    /// the counters are bumped either way). No-op when disabled.
     #[inline]
-    pub fn incr(&mut self, name: &str) {
-        if self.config.enabled {
-            self.registry.incr(name);
-        }
-    }
-
-    /// Increments a counter by `n` (no-op when disabled).
-    #[inline]
-    pub fn incr_by(&mut self, name: &str, n: u64) {
-        if self.config.enabled {
-            self.registry.incr_by(name, n);
-        }
-    }
-
-    /// Sets a gauge (no-op when disabled).
-    #[inline]
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        if self.config.enabled {
-            self.registry.set_gauge(name, value);
-        }
-    }
-
-    /// Records a histogram observation (no-op when disabled).
-    #[inline]
-    pub fn observe(&mut self, name: &str, value: u64) {
-        if self.config.enabled {
-            self.registry.observe(name, value);
-        }
-    }
-
-    /// Appends an event to the stream (no-op when disabled or when events
-    /// are off; counted as dropped once the capacity is reached).
-    #[inline]
-    pub fn record(&mut self, event: TelemetryEvent) {
-        if !self.config.enabled || !self.config.record_events {
+    pub fn emit(&mut self, event: TelemetryEvent) {
+        if !self.config.enabled {
             return;
         }
+        self.count(&event);
         if self.events.len() >= self.config.event_capacity {
             self.dropped_events += 1;
             return;
@@ -749,9 +704,85 @@ impl Telemetry {
         self.events.push(event);
     }
 
-    /// Read access to the registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// Records a [`TelemetryEvent::QueryCompleted`] like [`Self::emit`],
+    /// and feeds the completion histograms: `query.latency_ms` from the
+    /// event and `query.slowdown_pct` (normalized latency × 100, which the
+    /// event does not carry) from `slowdown_pct`.
+    #[inline]
+    pub fn emit_completion(&mut self, event: TelemetryEvent, slowdown_pct: u64) {
+        if !self.config.enabled {
+            return;
+        }
+        if let TelemetryEvent::QueryCompleted { latency_ms, .. } = event {
+            self.latency_ms.record(latency_ms);
+            self.slowdown_pct.record(slowdown_pct);
+        }
+        self.emit(event);
+    }
+
+    /// Bumps a counter that no event implies: the re-consolidation
+    /// controller's decisions (`controller.*`) are the only ones.
+    #[inline]
+    pub(crate) fn bump(&mut self, counter: Counter, by: u64) {
+        if self.config.enabled {
+            self.counters[counter as usize] += by;
+        }
+    }
+
+    /// The event→counter table: every counter except `controller.*` is a
+    /// fold over the event stream.
+    fn count(&mut self, event: &TelemetryEvent) {
+        use Counter as C;
+        use TelemetryEvent as E;
+        let mut add = |c: C, n: u64| self.counters[c as usize] += n;
+        match *event {
+            E::QuerySubmitted { .. } => add(C::QueriesSubmitted, 1),
+            E::QueryRouted { kind, .. } => add(
+                match kind {
+                    RouteKind::Sticky => C::RouteSticky,
+                    RouteKind::TuningFree => C::RouteTuningFree,
+                    RouteKind::OtherFree => C::RouteOtherFree,
+                    RouteKind::Overflow => C::RouteOverflow,
+                },
+                1,
+            ),
+            E::QueryCompleted { met, .. } => {
+                add(C::QueriesCompleted, 1);
+                add(if met { C::SlaMet } else { C::SlaViolated }, 1);
+            }
+            // Cancellation only happens to migrate a query.
+            E::QueryCancelled { .. } => {
+                add(C::QueriesCancelled, 1);
+                add(C::QueriesMigrated, 1);
+            }
+            E::ScalingTriggered { .. } => add(C::ScalingTriggered, 1),
+            E::ScalingActivated { .. } => add(C::ScalingActivated, 1),
+            E::InstanceProvisioned { .. } => add(C::InstancesProvisioned, 1),
+            E::InstanceDecommissioned { .. } => add(C::InstancesDecommissioned, 1),
+            E::NodeFailed { .. } => add(C::NodesFailed, 1),
+            E::NodeReplaced { .. } => add(C::NodesReplaced, 1),
+            E::ReplacementDeferred { .. } => add(C::NodesReplacementDeferred, 1),
+            E::ReplacementRetried { .. } => add(C::NodesReplacementRetried, 1),
+            E::TenantMigrated { .. } => add(C::TenantsMigrated, 1),
+            E::TenantRegistered { .. } => add(C::TenantsRegistered, 1),
+            E::TenantDeregistered { .. } => add(C::TenantsDeregistered, 1),
+            E::BulkLoadStarted { .. } => add(C::BulkLoadsStarted, 1),
+            E::BulkLoadFinished { .. } => add(C::BulkLoadsFinished, 1),
+            E::ReconsolidationStarted { .. } => add(C::ReconsolidationStarted, 1),
+            E::ReconsolidationCompleted { .. } => add(C::ReconsolidationCompleted, 1),
+            E::GroupCutover { tenants, .. } => {
+                add(C::GroupsCutover, 1);
+                add(C::ReconsolidationTenantsMoved, tenants as u64);
+            }
+            E::ControllerAdapted { .. } => {}
+            E::ConfigReloaded {
+                applied, rejected, ..
+            } => {
+                add(C::ConfigReloads, 1);
+                add(C::ConfigKnobsApplied, applied as u64);
+                add(C::ConfigKnobsRejected, rejected as u64);
+            }
+        }
     }
 
     /// The retained events so far.
@@ -760,21 +791,29 @@ impl Telemetry {
     }
 
     /// Freezes the current state without consuming it (clones the event
-    /// stream). Instance utilization is filled in by the service, which
-    /// owns the cluster.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
+    /// stream). `groups` is the live tenant-group count, reported as the
+    /// `groups` gauge; instance utilization is filled in by the service,
+    /// which owns the cluster.
+    pub fn snapshot(&self, groups: usize) -> TelemetrySnapshot {
         if !self.config.enabled {
             return TelemetrySnapshot::empty(false);
         }
+        let histograms = [
+            ("query.latency_ms", &self.latency_ms),
+            ("query.slowdown_pct", &self.slowdown_pct),
+        ];
         TelemetrySnapshot {
             enabled: true,
-            counters: self.registry.counters.clone(),
-            gauges: self.registry.gauges.clone(),
-            histograms: self
-                .registry
-                .histograms
+            counters: COUNTER_NAMES
                 .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
+                .zip(self.counters)
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+            gauges: BTreeMap::from([("groups".to_string(), groups as i64)]),
+            histograms: histograms
+                .into_iter()
+                .filter(|(_, h)| h.count() > 0)
+                .map(|(name, h)| (name.to_string(), h.snapshot()))
                 .collect(),
             instances: Vec::new(),
             events: self.events.clone(),
@@ -783,12 +822,13 @@ impl Telemetry {
     }
 
     /// Like [`Self::snapshot`], but drains the retained event stream (the
-    /// memory-heavy part) instead of cloning it. Counters, gauges, and
-    /// histograms stay cumulative across calls.
-    pub fn take_snapshot(&mut self) -> TelemetrySnapshot {
-        let mut snap = self.snapshot();
+    /// memory-heavy part) instead of cloning it. Counters and histograms
+    /// stay cumulative across calls.
+    pub fn take_snapshot(&mut self, groups: usize) -> TelemetrySnapshot {
+        let events = std::mem::take(&mut self.events);
+        let mut snap = self.snapshot(groups);
         if self.config.enabled {
-            snap.events = std::mem::take(&mut self.events);
+            snap.events = events;
         }
         snap
     }
@@ -797,6 +837,14 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scaling_triggered(at_ms: u64) -> TelemetryEvent {
+        TelemetryEvent::ScalingTriggered {
+            at_ms,
+            group: 0,
+            tenants: 1,
+        }
+    }
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {
@@ -840,37 +888,99 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_histograms() {
-        let mut r = Registry::new();
-        r.incr("a");
-        r.incr("a");
-        r.incr_by("b", 5);
-        r.set_gauge("g", -3);
-        r.set_gauge("g", 7);
-        r.observe("h", 10);
-        r.observe("h", 20);
-        assert_eq!(r.counter("a"), 2);
-        assert_eq!(r.counter("b"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("g"), Some(7));
-        assert_eq!(r.gauge("missing"), None);
-        assert_eq!(r.histogram("h").unwrap().count(), 2);
+    fn quantiles_reach_the_top_bucket() {
+        let mut h = Histogram::default();
+        h.record(1);
+        h.record(1 << 63);
+        h.record(u64::MAX);
+        assert_eq!(Histogram::bucket_index(1 << 63), 64);
+        assert_eq!(h.quantile(0.0), 1);
+        assert_eq!(h.quantile(0.5), u64::MAX);
+        assert_eq!(h.quantile(1.0), u64::MAX);
+        assert_eq!(h.snapshot().p99, u64::MAX);
+    }
+
+    #[test]
+    fn counter_names_are_unique_and_complete() {
+        let mut names = COUNTER_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), COUNTER_NAMES.len());
+        assert_eq!(COUNTER_NAMES.len(), 38);
+        assert_eq!(Counter::ConfigKnobsRejected.name(), "config.knobs_rejected");
+    }
+
+    #[test]
+    fn counters_are_a_fold_over_the_emitted_events() {
+        let mut t = Telemetry::new(TelemetryConfig::default());
+        t.emit(TelemetryEvent::QueryRouted {
+            at_ms: 0,
+            query: QueryId(1),
+            tenant: TenantId(0),
+            group: 0,
+            mppdb: 0,
+            kind: RouteKind::Overflow,
+        });
+        t.emit(TelemetryEvent::QueryCancelled {
+            at_ms: 1,
+            query: QueryId(1),
+            tenant: TenantId(0),
+            group: 0,
+        });
+        t.emit(TelemetryEvent::GroupCutover {
+            at_ms: 2,
+            group: 1,
+            tenants: 4,
+            replicas: 2,
+        });
+        t.emit(TelemetryEvent::ConfigReloaded {
+            at_ms: 3,
+            applied: 2,
+            rejected: 1,
+        });
+        t.emit(TelemetryEvent::ControllerAdapted {
+            at_ms: 4,
+            interval_ms: 10,
+            window_ms: 0,
+            error_ppm: 5,
+        });
+        t.bump(Counter::ControllerAdaptGrow, 1);
+        let snap = t.snapshot(2);
+        let nonzero: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .filter(|(_, &v)| v > 0)
+            .map(|(k, &v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(
+            nonzero,
+            [
+                ("config.knobs_applied", 2),
+                ("config.knobs_rejected", 1),
+                ("config.reloads", 1),
+                ("controller.adapt_grow", 1),
+                ("groups.cutover", 1),
+                ("queries.cancelled", 1),
+                ("queries.migrated", 1),
+                ("reconsolidation.tenants_moved", 4),
+                ("route.overflow", 1),
+            ]
+        );
+        assert_eq!(snap.counters.len(), 38, "every counter is reported");
+        assert_eq!(snap.gauges["groups"], 2);
+        assert!(snap.histograms.is_empty(), "no completion yet");
+        assert_eq!(snap.events.len(), 5);
     }
 
     #[test]
     fn disabled_telemetry_records_nothing() {
         let mut t = Telemetry::new(TelemetryConfig::disabled());
-        t.incr("x");
-        t.observe("y", 1);
-        t.set_gauge("z", 1);
-        t.record(TelemetryEvent::ScalingTriggered {
-            at_ms: 0,
-            group: 0,
-            tenants: 1,
-        });
-        let snap = t.snapshot();
+        t.emit(scaling_triggered(0));
+        t.bump(Counter::ControllerSkippedBusy, 1);
+        let snap = t.snapshot(1);
         assert!(!snap.enabled);
         assert!(snap.counters.is_empty());
+        assert!(snap.gauges.is_empty());
         assert!(snap.events.is_empty());
         assert_eq!(snap.dropped_events, 0);
     }
@@ -879,42 +989,39 @@ mod tests {
     fn event_capacity_is_enforced_and_counted() {
         let mut t = Telemetry::new(TelemetryConfig::default().with_event_capacity(2));
         for i in 0..5u64 {
-            t.record(TelemetryEvent::ScalingTriggered {
-                at_ms: i,
-                group: 0,
-                tenants: 1,
-            });
+            t.emit(scaling_triggered(i));
         }
         assert_eq!(t.events().len(), 2);
-        let snap = t.snapshot();
+        let snap = t.snapshot(1);
         assert_eq!(snap.events.len(), 2);
         assert_eq!(snap.dropped_events, 3);
+        assert_eq!(
+            snap.counter("scaling.triggered"),
+            5,
+            "dropped events still count"
+        );
     }
 
     #[test]
     fn take_snapshot_drains_events_but_keeps_counters() {
         let mut t = Telemetry::new(TelemetryConfig::default());
-        t.incr("c");
-        t.record(TelemetryEvent::ScalingTriggered {
-            at_ms: 1,
-            group: 0,
-            tenants: 1,
-        });
-        let first = t.take_snapshot();
+        t.emit(scaling_triggered(1));
+        let first = t.take_snapshot(1);
         assert_eq!(first.events.len(), 1);
-        assert_eq!(first.counter("c"), 1);
-        let second = t.take_snapshot();
+        assert_eq!(first.counter("scaling.triggered"), 1);
+        let second = t.take_snapshot(1);
         assert!(second.events.is_empty(), "events were drained");
-        assert_eq!(second.counter("c"), 1, "counters stay cumulative");
+        assert_eq!(
+            second.counter("scaling.triggered"),
+            1,
+            "counters stay cumulative"
+        );
     }
 
     #[test]
     fn snapshot_round_trips_through_serde() {
         let mut t = Telemetry::new(TelemetryConfig::default());
-        t.incr("queries.submitted");
-        t.observe("query.latency_ms", 1234);
-        t.set_gauge("groups", 2);
-        t.record(TelemetryEvent::QueryRouted {
+        t.emit(TelemetryEvent::QueryRouted {
             at_ms: 7,
             query: QueryId(1),
             tenant: TenantId(3),
@@ -922,12 +1029,26 @@ mod tests {
             mppdb: 1,
             kind: RouteKind::OtherFree,
         });
-        t.record(TelemetryEvent::NodeFailed {
+        t.emit_completion(
+            TelemetryEvent::QueryCompleted {
+                at_ms: 8,
+                query: QueryId(1),
+                tenant: TenantId(3),
+                group: 0,
+                latency_ms: 1234,
+                met: true,
+            },
+            100,
+        );
+        t.emit(TelemetryEvent::NodeFailed {
             at_ms: 9,
             node: NodeId(4),
             instance: Some(InstanceId(0)),
         });
-        let snap = t.snapshot();
+        let snap = t.snapshot(2);
+        assert_eq!(snap.counter("sla.met"), 1);
+        assert_eq!(snap.histograms["query.latency_ms"].max, 1234);
+        assert_eq!(snap.histograms["query.slowdown_pct"].max, 100);
         let json = serde_json::to_string(&snap).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);

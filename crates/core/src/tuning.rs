@@ -19,8 +19,7 @@ use mppdb_sim::query::QueryTemplate;
 /// template, concurrently processed with `concurrency - 1` identical
 /// queries on `MPPDB_0`, finishes within `slack ×` its dedicated `n1`-node
 /// latency. Returns `None` if no size up to `max_u` suffices (non-linear
-/// queries hit their Amdahl ceiling — Chapter 8 discusses this as the
-/// "non-linear scale-out problem" of the divergent-design future work).
+/// queries hit their Amdahl ceiling).
 ///
 /// `slack` ≥ 1.0 is the SLA tolerance (1.0 = exact).
 ///

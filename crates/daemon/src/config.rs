@@ -8,7 +8,7 @@
 //!
 //! Hot-reload reads the same file again (`SIGHUP` or the `reload`
 //! request), re-validates `service` through
-//! [`ServiceConfigBuilder`](thrifty::service::ServiceConfigBuilder), and
+//! [`ServiceConfigBuilder`], and
 //! applies the safe knob subset via
 //! [`ThriftyService::apply_config`](thrifty::service::ThriftyService::apply_config).
 //! Deploy-time sections (`cluster`, `groups`, `templates`,
@@ -82,7 +82,7 @@ pub struct TenantSection {
 }
 
 /// The hot-reloadable service knobs (mirrors
-/// [`ServiceConfig`](thrifty::service::ServiceConfig)).
+/// [`ServiceConfig`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSection {
     /// SLA relative tolerance (see `SlaPolicy`).
