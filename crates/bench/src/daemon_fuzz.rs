@@ -15,11 +15,21 @@
 //! `Advance`/`Quiesce` request, so a request sequence is a complete
 //! schedule and the daemon's socket/server layer must add exactly
 //! nothing to the outcome.
+//!
+//! While the schedule runs, a second connection to the same daemon
+//! misbehaves in one of four ways (`Adversary`, chosen by the seed).
+//! It sends only read-only requests or lines that never complete, so the
+//! main connection's transcript must still match direct dispatch byte
+//! for byte, and every main request must be answered within
+//! `REPLY_LIMIT` however the side client behaves.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::path::PathBuf;
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 use thrifty::clock::SimClock;
 use thrifty_daemon::client::DaemonClient;
 use thrifty_daemon::config::{DaemonConfig, TenantSection};
@@ -28,6 +38,118 @@ use thrifty_daemon::runtime::DaemonCore;
 
 /// Steps per daemon-fuzz schedule (each step is one request).
 const STEPS: u32 = 40;
+
+/// Longest a main-connection request may wait for its answer; a daemon
+/// stalled by the side client fails the seed instead of hanging it.
+const REPLY_LIMIT: Duration = Duration::from_secs(30);
+
+/// How the side connection misbehaves while a schedule runs.
+#[derive(Clone, Copy, Debug)]
+enum Adversary {
+    /// Pipelines `Status` requests every step and never reads a reply.
+    Pipeliner,
+    /// Sends the first half of the next schedule line, holds it across
+    /// one main request, then hangs up.
+    HalfLine,
+    /// Asks for about 1 MB of telemetry snapshots up front, more than
+    /// the socket buffers and the daemon's reply-queue bound hold, then
+    /// reads one byte per step.
+    ByteReader,
+    /// Asks for about 0.5 MB of reports and hangs up after the first
+    /// byte, leaving the daemon with replies queued for a closed peer.
+    MidReplyDrop,
+}
+
+impl Adversary {
+    /// The side client of `seed`: the four modes in turn.
+    fn for_seed(seed: u64) -> Self {
+        match seed % 4 {
+            0 => Adversary::Pipeliner,
+            1 => Adversary::HalfLine,
+            2 => Adversary::ByteReader,
+            _ => Adversary::MidReplyDrop,
+        }
+    }
+}
+
+/// The misbehaving second connection of one daemon run.
+struct SideClient {
+    mode: Adversary,
+    stream: Option<UnixStream>,
+    /// Request bytes the socket has not taken yet (`Pipeliner`).
+    pending: Vec<u8>,
+    /// Reply bytes read so far (`ByteReader`, `MidReplyDrop`).
+    got: Vec<u8>,
+}
+
+impl SideClient {
+    fn connect(mode: Adversary, socket: &Path) -> std::io::Result<Self> {
+        let mut stream = UnixStream::connect(socket)?;
+        stream.set_read_timeout(Some(REPLY_LIMIT))?;
+        stream.set_write_timeout(Some(REPLY_LIMIT))?;
+        match mode {
+            Adversary::Pipeliner => stream.set_nonblocking(true)?,
+            Adversary::ByteReader => stream.write_all(&b"\"Telemetry\"\n".repeat(512))?,
+            Adversary::HalfLine | Adversary::MidReplyDrop => {}
+        }
+        Ok(SideClient {
+            mode,
+            stream: Some(stream),
+            pending: Vec::new(),
+            got: Vec::new(),
+        })
+    }
+
+    /// Misbehaves once more before main step `step` of `requests`; the
+    /// one-shot modes act at the schedule's midpoint.
+    fn before_step(&mut self, step: usize, requests: &[Request]) -> std::io::Result<()> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Ok(());
+        };
+        let midpoint = requests.len() / 2;
+        match self.mode {
+            Adversary::Pipeliner => {
+                if self.pending.is_empty() {
+                    self.pending = b"\"Status\"\n".repeat(64);
+                }
+                match stream.write(&self.pending) {
+                    Ok(n) => drop(self.pending.drain(..n)),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Adversary::HalfLine if step == midpoint => {
+                let line = encode_line(&requests[step]).map_err(std::io::Error::other)?;
+                stream.write_all(&line.as_bytes()[..line.len() / 2])?;
+            }
+            Adversary::HalfLine if step == midpoint + 1 => self.stream = None,
+            Adversary::ByteReader => read_byte(stream, &mut self.got)?,
+            Adversary::MidReplyDrop if step == midpoint => {
+                stream.write_all(&b"\"Report\"\n".repeat(256))?;
+                read_byte(stream, &mut self.got)?;
+                self.stream = None;
+            }
+            Adversary::HalfLine | Adversary::MidReplyDrop => {}
+        }
+        Ok(())
+    }
+
+    /// What the side client read must be the start of a success
+    /// envelope: replies arrive whole and in order, however slowly.
+    fn check(&self) -> Result<(), String> {
+        let want = b"{\"ok\":true,\"reply\":{";
+        let n = self.got.len().min(want.len());
+        if self.got[..n] == want[..n] {
+            Ok(())
+        } else {
+            Err(format!(
+                "{:?} side client read {:?}",
+                self.mode,
+                String::from_utf8_lossy(&self.got)
+            ))
+        }
+    }
+}
 
 /// Deterministic digest of one daemon-vs-direct schedule.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -41,6 +163,13 @@ pub struct DaemonFuzzOutcome {
     pub errors: u64,
     /// The final service report both paths produced, serialized.
     pub report_json: String,
+}
+
+fn read_byte(stream: &mut UnixStream, got: &mut Vec<u8>) -> std::io::Result<()> {
+    let mut byte = [0u8];
+    stream.read_exact(&mut byte)?;
+    got.push(byte[0]);
+    Ok(())
 }
 
 /// The daemon config every fuzzed pair runs: the stock example with
@@ -171,8 +300,15 @@ fn run_via_daemon(
     let outcome = (|| {
         let mut client = DaemonClient::connect_with_retry(&socket, 200, 25)
             .map_err(|e| format!("seed {seed}: daemon never came up: {e}"))?;
+        client
+            .set_timeout(Some(REPLY_LIMIT))
+            .map_err(|e| format!("seed {seed}: {e}"))?;
+        let mut side = SideClient::connect(Adversary::for_seed(seed), &socket)
+            .map_err(|e| format!("seed {seed}: side client: {e}"))?;
         let mut lines = Vec::with_capacity(requests.len());
         for (step, req) in requests.iter().enumerate() {
+            side.before_step(step, requests)
+                .map_err(|e| format!("seed {seed} step {step}: {:?}: {e}", side.mode))?;
             let envelope = client
                 .request_envelope(req)
                 .map_err(|e| format!("seed {seed} step {step}: socket round trip: {e}"))?;
@@ -181,6 +317,9 @@ fn run_via_daemon(
                     .map_err(|e| format!("seed {seed} step {step}: daemon encode: {e}"))?,
             );
         }
+        side.check().map_err(|e| format!("seed {seed}: {e}"))?;
+        // The side client stays connected (a pipeliner still clogged)
+        // while the main connection stops the daemon.
         client
             .stop()
             .map_err(|e| format!("seed {seed}: stop failed: {e}"))?;
@@ -315,8 +454,11 @@ mod tests {
             eprintln!("skipping: thriftyd binary not built (set THRIFTYD_BIN)");
             return;
         };
-        let outcome = fuzz_daemon(2, &bin).unwrap();
-        assert!(outcome.requests > STEPS as usize / 2);
-        assert!(!outcome.report_json.is_empty());
+        // Seeds 0..4 run each side-client mode once.
+        for seed in 0..4 {
+            let outcome = fuzz_daemon(seed, &bin).unwrap();
+            assert!(outcome.requests > STEPS as usize / 2);
+            assert!(!outcome.report_json.is_empty());
+        }
     }
 }

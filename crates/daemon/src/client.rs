@@ -50,6 +50,18 @@ impl DaemonClient {
         Err(last)
     }
 
+    /// Bounds how long one request may wait on the socket (`None` waits
+    /// forever, the default), so a harness fails instead of hanging on
+    /// a stalled daemon.
+    ///
+    /// # Errors
+    /// [`DaemonError::Io`] for a zero duration.
+    pub fn set_timeout(&self, timeout: Option<Duration>) -> DaemonResult<()> {
+        self.writer.set_read_timeout(timeout)?;
+        self.writer.set_write_timeout(timeout)?;
+        Ok(())
+    }
+
     /// One request/envelope round trip, error envelopes included — the
     /// primitive the fuzz harness byte-compares against direct
     /// [`DaemonCore`](crate::runtime::DaemonCore) dispatch.

@@ -124,7 +124,9 @@ pub struct ReconSection {
 /// Event-loop pacing.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DaemonSection {
-    /// Wall-clock tick granularity in ms (idle sleep between loop turns).
+    /// Wall-clock tick granularity in ms: the longest the event loop
+    /// waits when no input arrives before it ticks the service again
+    /// (input wakes it at once).
     pub tick_ms: u64,
 }
 

@@ -36,6 +36,7 @@ pub mod client;
 pub mod clock;
 pub mod config;
 pub mod error;
+mod poll;
 pub mod protocol;
 pub mod runtime;
 pub mod server;

@@ -263,7 +263,7 @@ pub struct RejectedSection {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireError {
     /// Stable machine-readable kind (e.g. `invalid-config`, `clock`,
-    /// `parse`).
+    /// `parse`, `line-too-long`).
     pub kind: String,
     /// Human-readable description.
     pub message: String,

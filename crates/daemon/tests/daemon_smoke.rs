@@ -6,11 +6,16 @@
 //! instantly); a second test proves the wall-clock daemon serves and
 //! rejects manual time.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 use thrifty_daemon::client::DaemonClient;
 use thrifty_daemon::config::DaemonConfig;
 use thrifty_daemon::error::DaemonError;
+use thrifty_daemon::protocol::{decode_line, Envelope, Reply};
+use thrifty_daemon::server::MAX_LINE_BYTES;
 
 /// Kills the daemon on drop so a failing assertion cannot leak a
 /// process or a socket.
@@ -52,6 +57,10 @@ impl TestBed {
     }
 
     fn start(&self, sim_clock: bool) -> DaemonGuard {
+        self.start_with_stderr(sim_clock, Stdio::null())
+    }
+
+    fn start_with_stderr(&self, sim_clock: bool, stderr: Stdio) -> DaemonGuard {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_thriftyd"));
         cmd.arg("start")
             .arg("--config")
@@ -59,7 +68,7 @@ impl TestBed {
             .arg("--socket")
             .arg(&self.socket)
             .stdout(Stdio::null())
-            .stderr(Stdio::null());
+            .stderr(stderr);
         if sim_clock {
             cmd.arg("--sim-clock");
         }
@@ -70,6 +79,18 @@ impl TestBed {
 
     fn connect(&self) -> DaemonClient {
         DaemonClient::connect_with_retry(&self.socket, 200, 25).expect("daemon comes up")
+    }
+
+    /// A raw connection for clients that misbehave on purpose.
+    fn raw(&self) -> UnixStream {
+        let stream = UnixStream::connect(&self.socket).expect("raw connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
     }
 }
 
@@ -234,5 +255,151 @@ fn a_live_socket_refuses_a_second_daemon() {
     );
 
     client.ping().expect("first daemon unaffected");
+    stop_and_reap(&mut client, &bed, guard);
+}
+
+fn read_envelope(reader: &mut impl BufRead) -> Envelope {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an envelope line");
+    decode_line(&line).expect("a well-formed envelope")
+}
+
+fn error_kind(envelope: &Envelope) -> Option<&str> {
+    envelope.error.as_ref().map(|e| e.kind.as_str())
+}
+
+#[test]
+fn a_client_that_never_reads_cannot_stall_another() {
+    const PIPELINED: usize = 2_000;
+    let bed = TestBed::new("stall");
+    bed.write_config(&base_config());
+    let guard = bed.start(true);
+    let mut b = bed.connect();
+    b.ping().expect("daemon serves");
+
+    // A pipelines far more replies than a socket buffer holds, then
+    // reads nothing; let the daemon take the whole pipeline.
+    let a = bed.raw();
+    (&a).write_all(&b"\"Ping\"\n".repeat(PIPELINED))
+        .expect("pipeline written");
+    std::thread::sleep(Duration::from_millis(200));
+
+    b.set_timeout(Some(Duration::from_secs(1))).unwrap();
+    let t0 = Instant::now();
+    b.ping().expect("B is answered while A reads nothing");
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    b.set_timeout(None).unwrap();
+
+    // Every queued reply reaches A, in order, and nothing more.
+    let mut reader = BufReader::new(&a);
+    for i in 0..PIPELINED {
+        assert_eq!(
+            read_envelope(&mut reader).reply,
+            Some(Reply::Pong),
+            "reply {i}"
+        );
+    }
+    (&a).write_all(b"\"LiveTenants\"\n").unwrap();
+    assert!(matches!(
+        read_envelope(&mut reader).reply,
+        Some(Reply::Tenants { .. })
+    ));
+
+    stop_and_reap(&mut b, &bed, guard);
+}
+
+#[test]
+fn a_peer_that_never_sends_a_newline_gets_one_error_and_no_buffer() {
+    let bed = TestBed::new("endless");
+    bed.write_config(&base_config());
+    let guard = bed.start(true);
+    let mut b = bed.connect();
+
+    let a = bed.raw();
+    let block = vec![b'z'; MAX_LINE_BYTES];
+    for _ in 0..8 {
+        (&a).write_all(&block).expect("the daemon keeps draining");
+    }
+    let mut reader = BufReader::new(&a);
+    assert_eq!(
+        error_kind(&read_envelope(&mut reader)),
+        Some("line-too-long")
+    );
+    b.ping().expect("other clients are unaffected");
+
+    // The newline ends the refused line; the next request is served.
+    (&a).write_all(b"\n\"Ping\"\n").unwrap();
+    assert_eq!(read_envelope(&mut reader).reply, Some(Reply::Pong));
+
+    stop_and_reap(&mut b, &bed, guard);
+}
+
+#[test]
+fn a_sighup_wakes_an_idle_daemon_at_once() {
+    let bed = TestBed::new("sighup");
+    let mut cfg = base_config();
+    // An idle wait far longer than the test allows for the reload.
+    cfg.daemon.tick_ms = 60_000;
+    bed.write_config(&cfg);
+    let log = bed.dir.join("stderr.log");
+    let guard = bed.start_with_stderr(false, std::fs::File::create(&log).unwrap().into());
+    let mut client = bed.connect();
+    client.ping().expect("daemon serves");
+
+    let mut edited = cfg.clone();
+    edited.service.sla_p = 0.99;
+    bed.write_config(&edited);
+    let t0 = Instant::now();
+    let kill = Command::new("kill")
+        .arg("-HUP")
+        .arg(guard.child.id().to_string())
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    while !std::fs::read_to_string(&log)
+        .unwrap_or_default()
+        .contains("SIGHUP reload:")
+    {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "no reload 5 s after SIGHUP"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!((client.status().expect("status").service.sla_p - 0.99).abs() < 1e-12);
+
+    stop_and_reap(&mut client, &bed, guard);
+}
+
+#[test]
+fn running_out_of_descriptors_costs_only_the_new_connections() {
+    let bed = TestBed::new("emfile");
+    bed.write_config(&base_config());
+    // A descriptor limit far below the connections offered below.
+    let child = Command::new("bash")
+        .arg("-c")
+        .arg(format!(
+            "ulimit -n 16 && exec {} start --config {} --socket {} --sim-clock",
+            env!("CARGO_BIN_EXE_thriftyd"),
+            bed.config_path.display(),
+            bed.socket.display()
+        ))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn thriftyd under a descriptor limit");
+    let guard = DaemonGuard { child };
+    let mut client = bed.connect();
+    client.ping().expect("daemon serves");
+
+    let flood: Vec<UnixStream> = (0..32).map(|_| bed.raw()).collect();
+    std::thread::sleep(Duration::from_millis(200));
+    client
+        .ping()
+        .expect("the daemon survives a full descriptor table");
+    drop(flood);
+    let mut late = bed.connect();
+    late.ping().expect("freed descriptors are accepted again");
+
     stop_and_reap(&mut client, &bed, guard);
 }
